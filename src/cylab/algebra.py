@@ -22,12 +22,10 @@ that.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .syntax import (
-    And,
     Atom,
-    Const,
     Eq,
     Exists,
     Formula,
@@ -35,7 +33,7 @@ from .syntax import (
     conjunction,
     disjunction,
 )
-from .structures import Structure, all_tuples, kernel
+from .structures import SetEvaluator, Structure, all_tuples, kernel
 
 __all__ = [
     "TypePartition",
@@ -271,13 +269,14 @@ class TypePartition:
         return self._stage_formula(len(self._stages) - 1, self._final_of_atom[aid])
 
     def check_defining_formulas(self) -> bool:
-        """Evaluate every atom's formula back; meant for desk-scale tests."""
-        from .structures import definable_set
-
-        for aid in range(self.atom_count):
-            f = self.defining_formula(aid)
-            for sidx, st in enumerate(self.structures):
-                if definable_set(f, st) != self.atom_members(aid, sidx):
+        """Evaluate every atom's formula back, with one evaluator per
+        structure: the atoms' formulas share most of their nodes, and
+        ``_formula_memo`` keeps those nodes alive."""
+        for sidx, st in enumerate(self.structures):
+            ev = SetEvaluator(st)
+            for aid in range(self.atom_count):
+                f = self.defining_formula(aid)
+                if ev.mask(f) != ev.bits(self.atom_members(aid, sidx)):
                     return False
         return True
 

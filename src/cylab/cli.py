@@ -21,11 +21,10 @@ import sys
 from .syntax import ParseError, parse_formula, render_formula
 from .structures import (
     CoredStructure,
+    SetEvaluator,
     StructureFamily,
-    definable_set,
     evaluate,
     find_automorphism,
-    is_automorphism,
     load_structure,
     validate_cored_structure,
 )
@@ -193,13 +192,15 @@ def cmd_eval(args) -> int:
         value = evaluate(f, u.base, asg)
         _emit(args, {"value": value, "assignment": list(asg)}, [str(value).lower()])
         return 0 if value else 1
-    sat = definable_set(f, u.base)
+    ev = SetEvaluator(u.base)
+    sat = ev.mask(f)
+    count = sat.bit_count()
     total = u.size**u.n
-    valid = len(sat) == total
+    valid = sat == ev.full
     _emit(
         args,
-        {"satisfying": len(sat), "total": total, "valid": valid},
-        [f"satisfying assignments: {len(sat)} / {total}" + (" (valid)" if valid else "")],
+        {"satisfying": count, "total": total, "valid": valid},
+        [f"satisfying assignments: {count} / {total}" + (" (valid)" if valid else "")],
     )
     return 0 if valid else 1
 

@@ -29,24 +29,22 @@ from .syntax import (
     Vocabulary,
     conjunction,
     disjunction,
-    free_vars,
     render_formula,
     voc_of,
 )
 from .structures import (
     CoredStructure,
-    ConsequenceReport,
+    SetEvaluator,
     StructureFamily,
     all_tuples,
     consequence_over,
     core_preserving_maps,
     definable_set,
-    is_automorphism,
+    is_valid_in,
     relation_cylinder,
     validate_cored_structure,
 )
 from .algebra import (
-    CsnAlgebra,
     Element,
     cached_algebra,
     compute_joint_partition,
@@ -313,16 +311,8 @@ def find_interpolant(p: InterpolationProblem) -> InterpolationReport:
             return InterpolationReport(
                 "hypothesis-failed", p.mode, witness=hyp.to_json()
             )
-        full = {
-            idx: len(definable_set(p.phi, m.base)) == m.size**m.n
-            for idx, m in enumerate(p.family)
-        }
-        k0_idx = [i for i, v in full.items() if v]
-        k1_idx = [
-            i
-            for i, m in enumerate(p.family)
-            if len(definable_set(p.psi, m.base)) != m.size**m.n
-        ]
+        k0_idx = [i for i, m in enumerate(p.family) if is_valid_in(p.phi, m.base)]
+        k1_idx = [i for i, m in enumerate(p.family) if not is_valid_in(p.psi, m.base)]
         if not k0_idx:
             return InterpolationReport(
                 "found", p.mode, Const(False), candidates_examined=1
@@ -399,17 +389,16 @@ def verify_interpolant(p: InterpolationProblem, theta: Formula) -> bool:
     if not names <= allowed:
         return False
     for m in p.family:
-        full = m.size**m.n
-        sphi = definable_set(p.phi, m.base)
-        spsi = definable_set(p.psi, m.base)
-        sth = definable_set(theta, m.base)
+        ev = SetEvaluator(m.base)
+        full = ev.full
+        sphi, spsi, sth = ev.mask(p.phi), ev.mask(p.psi), ev.mask(theta)
         if p.mode == "weak":
-            if len(sphi) == full and len(sth) != full:
+            if sphi == full and sth != full:
                 return False
-            if len(sth) == full and len(spsi) != full:
+            if sth == full and spsi != full:
                 return False
         else:
-            if not sphi <= sth or not sth <= spsi:
+            if sphi & ~sth or sth & ~spsi:
                 return False
     return True
 

@@ -28,8 +28,9 @@ from .syntax import (
     Not,
     Or,
     Vocabulary,
-    free_vars,
-    voc_of,
+    _check_node,
+    _post_order,
+    validate_formula,
 )
 
 __all__ = [
@@ -48,6 +49,7 @@ __all__ = [
     "canonical_strong",
     "evaluate",
     "definable_set",
+    "SetEvaluator",
     "is_valid_in",
     "all_tuples",
     "cylinder",
@@ -428,21 +430,12 @@ def all_tuples(size: int, n: int) -> tuple:
     return tuple(itertools.product(range(size), repeat=n))
 
 
-def _check_vocab(f: Formula, structure: Structure) -> None:
-    want = voc_of(f, structure.vocab.n)
-    for name, arity in want.symbols:
-        if name not in structure.vocab:
-            raise ValueError(f"vocabulary mismatch: {name!r} not interpreted")
-        if structure.vocab.arity(name) != arity:
-            raise ValueError(f"vocabulary mismatch: {name!r} used with wrong arity")
-
-
 def evaluate(f: Formula, structure: Structure, assignment) -> bool:
     """Pointwise satisfaction under a full assignment of all n variables.
 
-    This is the plain recursive truth definition; the set-valued
-    `definable_set` is the fast path and the two are cross-checked in the
-    test suite.
+    This is the plain recursive truth definition, kept as the oracle for
+    the bitset evaluator behind `definable_set`; the test suite checks
+    the two against each other.
     """
     n = structure.vocab.n
     asg = [int(x) for x in assignment]
@@ -450,7 +443,7 @@ def evaluate(f: Formula, structure: Structure, assignment) -> bool:
         raise ValueError(f"assignment must have length n = {n}, got {len(asg)}")
     if any(not 0 <= x < structure.size for x in asg):
         raise ValueError("assignment leaves the universe")
-    _check_vocab(f, structure)
+    validate_formula(f, structure.vocab)
     return _eval(f, structure, asg)
 
 
@@ -507,58 +500,141 @@ def relation_cylinder(rel, m: int, size: int, n: int) -> frozenset:
     return frozenset(t + tail for t in rel for tail in tails)
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class SetEvaluator:
+    """Satisfaction sets of formulas in one structure, as int bitmasks.
+
+    Bit c stands for ``all_tuples(size, n)[c]``, the tuple t with
+    mixed-radix code ``c = sum(t[k] * size**(n-1-k))``, so ascending bits
+    are ascending tuples.  Leaf masks and the per-node memo last as long
+    as the evaluator, so formulas sharing subtrees (the refinement
+    machinery builds many) evaluate each distinct node once across
+    calls.  The memo is keyed by node id; the evaluator holds every
+    formula it was given, which keeps those ids valid.
+    """
+
+    def __init__(self, structure: Structure):
+        self.structure = structure
+        size, n = structure.size, structure.vocab.n
+        count = size**n
+        self.full = (1 << count) - 1
+        self._tuples = all_tuples(size, n)
+        self._stride = tuple(size ** (n - 1 - k) for k in range(n))
+        # fibres[k][x]: the tuples whose coordinate k is x
+        self._fibres = []
+        for stride in self._stride:
+            period = "0" * (stride * (size - 1)) + "1" * stride
+            zero = int(period * (count // (stride * size)), 2)
+            self._fibres.append(tuple(zero << (x * stride) for x in range(size)))
+        self._leaves: dict[tuple, int] = {}
+        self._memo: dict[int, int] = {}
+        self._roots: list[Formula] = []
+
+    def bits(self, tuples) -> int:
+        """Mask of a collection of n-tuples of the structure."""
+        count = len(self._tuples)
+        digits = bytearray(b"0") * count
+        for t in tuples:
+            digits[count - 1 - sum(x * s for x, s in zip(t, self._stride))] = 0x31
+        return int(digits, 2)
+
+    def tuples(self, mask: int) -> frozenset:
+        """The n-tuples of a mask."""
+        flags = format(mask, "b").encode().translate(_BIT_FLAGS)[::-1]
+        return frozenset(itertools.compress(self._tuples, flags))
+
+    def least(self, mask: int) -> tuple:
+        """Lexicographically least tuple of a non-empty mask."""
+        return self._tuples[(mask & -mask).bit_length() - 1]
+
+    def cyl(self, mask: int, k: int) -> int:
+        """Cylindrification along coordinate k: fold the fibres of k into
+        the slab where coordinate k is 0, then spread the slab back out."""
+        stride, fibres = self._stride[k], self._fibres[k]
+        slab = 0
+        for x, fibre in enumerate(fibres):
+            slab |= (mask & fibre) >> (x * stride)
+        out = slab
+        for x in range(1, len(fibres)):
+            out |= slab << (x * stride)
+        return out
+
+    def _leaf(self, node: Formula) -> int:
+        if isinstance(node, Atom):
+            key = (node.name, node.args)
+        else:
+            key = (node.i, node.j)
+        got = self._leaves.get(key)
+        if got is not None:
+            return got
+        fibres, full = self._fibres, self.full
+        out = 0
+        if isinstance(node, Atom):
+            for t in self.structure.relation(node.name):
+                m = full
+                for k, x in zip(node.args, t):
+                    m &= fibres[k][x]
+                out |= m
+        else:
+            for a, b in zip(fibres[node.i], fibres[node.j]):
+                out |= a & b
+        self._leaves[key] = out
+        return out
+
+    def mask(self, f: Formula) -> int:
+        """Satisfaction set of f.  Nodes are evaluated children-first
+        from an explicit stack, so formula depth is no limit."""
+        memo = self._memo
+        got = memo.get(id(f))
+        if got is not None:
+            return got
+        self._roots.append(f)
+        vocab, full = self.structure.vocab, self.full
+        for node in _post_order(f, memo):
+            _check_node(node, vocab)
+            if isinstance(node, (Atom, Eq)):
+                out = self._leaf(node)
+            elif isinstance(node, Const):
+                out = full if node.value else 0
+            elif isinstance(node, Not):
+                out = full ^ memo[id(node.body)]
+            elif isinstance(node, And):
+                out = memo[id(node.left)] & memo[id(node.right)]
+            elif isinstance(node, Or):
+                out = memo[id(node.left)] | memo[id(node.right)]
+            elif isinstance(node, Implies):
+                out = (full ^ memo[id(node.left)]) | memo[id(node.right)]
+            elif isinstance(node, Iff):
+                out = full ^ memo[id(node.left)] ^ memo[id(node.right)]
+            elif isinstance(node, Exists):
+                out = self.cyl(memo[id(node.body)], node.var)
+            elif isinstance(node, Forall):
+                out = full ^ self.cyl(full ^ memo[id(node.body)], node.var)
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            memo[id(node)] = out
+        return memo[id(f)]
+
+
 def definable_set(f: Formula, structure: Structure) -> frozenset:
     """Full satisfaction set of f as a set of n-tuples.
 
-    Computed bottom-up on sets with per-node memoization, so formulas
-    that share subtrees (the refinement machinery builds many) evaluate
-    in time proportional to the number of distinct nodes.
+    Evaluated on int bitmasks over tuple codes by a `SetEvaluator`, one
+    per call: each distinct DAG node is visited once, children-first and
+    without recursion, and only the root's mask becomes tuples.  Callers
+    that only test validity, inclusion or emptiness should compare masks
+    of a `SetEvaluator` instead.
     """
-    _check_vocab(f, structure)
-    n = structure.vocab.n
-    size = structure.size
-    full = frozenset(all_tuples(size, n))
-    memo: dict[int, frozenset] = {}
-
-    def ev(node: Formula) -> frozenset:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Atom):
-            rel = structure.relation(node.name)
-            args = node.args
-            out = frozenset(t for t in full if tuple(t[i] for i in args) in rel)
-        elif isinstance(node, Eq):
-            out = frozenset(t for t in full if t[node.i] == t[node.j])
-        elif isinstance(node, Const):
-            out = full if node.value else frozenset()
-        elif isinstance(node, Not):
-            out = full - ev(node.body)
-        elif isinstance(node, And):
-            out = ev(node.left) & ev(node.right)
-        elif isinstance(node, Or):
-            out = ev(node.left) | ev(node.right)
-        elif isinstance(node, Implies):
-            out = (full - ev(node.left)) | ev(node.right)
-        elif isinstance(node, Iff):
-            a, b = ev(node.left), ev(node.right)
-            out = (a & b) | (full - a - b)
-        elif isinstance(node, Exists):
-            out = cylinder(ev(node.body), node.var, size)
-        elif isinstance(node, Forall):
-            out = full - cylinder(full - ev(node.body), node.var, size)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[id(node)] = out
-        return out
-
-    return ev(f)
+    ev = SetEvaluator(structure)
+    return ev.tuples(ev.mask(f))
 
 
 def is_valid_in(f: Formula, structure: Structure) -> bool:
     """True iff f holds under every assignment."""
-    n = structure.vocab.n
-    return len(definable_set(f, structure)) == structure.size**n
+    ev = SetEvaluator(structure)
+    return ev.mask(f) == ev.full
 
 
 @dataclass(frozen=True)
@@ -583,22 +659,21 @@ def consequence_over(
     ``validity-consequence``: every member validating phi (under all
     assignments) validates psi.  ``implication-validity``: in every
     member the satisfaction set of phi is contained in psi's.  On failure
-    the report carries the offending member and assignment.
+    the report carries the offending member and its least offending
+    assignment.
     """
     if mode not in ("validity-consequence", "implication-validity"):
         raise ValueError(f"unknown consequence mode {mode!r}")
     for idx, member in enumerate(family):
-        sphi = definable_set(phi, member.base)
-        spsi = definable_set(psi, member.base)
-        full_count = member.size ** member.n
+        ev = SetEvaluator(member.base)
+        sphi = ev.mask(phi)
+        spsi = ev.mask(psi)
         if mode == "validity-consequence":
-            if len(sphi) == full_count and len(spsi) != full_count:
-                witness = min(frozenset(all_tuples(member.size, member.n)) - spsi)
-                return ConsequenceReport(False, idx, witness)
+            bad = ev.full ^ spsi if sphi == ev.full else 0
         else:
-            diff = sphi - spsi
-            if diff:
-                return ConsequenceReport(False, idx, min(diff))
+            bad = sphi & ~spsi
+        if bad:
+            return ConsequenceReport(False, idx, ev.least(bad))
     return ConsequenceReport(True)
 
 

@@ -453,6 +453,16 @@ def render_formula(f: Formula) -> str:
 # --- Structural queries ----------------------------------------------------
 
 
+def _children(node: Formula) -> tuple:
+    if isinstance(node, Not):
+        return (node.body,)
+    if isinstance(node, (And, Or, Implies, Iff)):
+        return (node.left, node.right)
+    if isinstance(node, (Exists, Forall)):
+        return (node.body,)
+    return ()
+
+
 def _walk(f: Formula):
     """Yield each distinct node once; shared subtrees are common in
     machine-built formulas and must not be re-walked."""
@@ -464,13 +474,26 @@ def _walk(f: Formula):
             continue
         seen.add(id(node))
         yield node
-        if isinstance(node, Not):
-            stack.append(node.body)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Exists, Forall)):
-            stack.append(node.body)
+        stack.extend(_children(node))
+
+
+def _post_order(root: Formula, done):
+    """Yield the distinct nodes under root children-first, without
+    recursion.  Nodes whose id is in ``done`` are neither yielded nor
+    descended into; the caller adds each yielded node's id to ``done``
+    before asking for the next one."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        pending = [k for k in _children(node) if id(k) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        yield node
 
 
 def voc_of(f: Formula, n: int = 3) -> Vocabulary:
@@ -487,64 +510,61 @@ def voc_of(f: Formula, n: int = 3) -> Vocabulary:
 
 
 def free_vars(f: Formula) -> frozenset[int]:
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.i, f.j))
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula node: {f!r}")
+    """Variables with a free occurrence in f."""
+    free: dict[int, frozenset[int]] = {}
+    for node in _post_order(f, free):
+        if isinstance(node, Atom):
+            out = frozenset(node.args)
+        elif isinstance(node, Eq):
+            out = frozenset((node.i, node.j))
+        elif isinstance(node, Const):
+            out = frozenset()
+        elif isinstance(node, Not):
+            out = free[id(node.body)]
+        elif isinstance(node, (And, Or, Implies, Iff)):
+            out = free[id(node.left)] | free[id(node.right)]
+        elif isinstance(node, (Exists, Forall)):
+            out = free[id(node.body)] - {node.var}
+        else:
+            raise TypeError(f"not a formula node: {node!r}")
+        free[id(node)] = out
+    return free[id(f)]
+
+
+def _check_node(node: Formula, vocab: Vocabulary) -> None:
+    """Reject a symbol, arity or variable index at this node that the
+    vocabulary does not allow."""
+    if isinstance(node, Atom):
+        if node.name not in vocab:
+            raise ValueError(f"vocabulary mismatch: {node.name!r} not interpreted")
+        if vocab.arity(node.name) != len(node.args):
+            raise ValueError(f"vocabulary mismatch: {node.name!r} used with wrong arity")
+        idxs = node.args
+    elif isinstance(node, Eq):
+        idxs = (node.i, node.j)
+    elif isinstance(node, (Exists, Forall)):
+        idxs = (node.var,)
+    else:
+        return
+    for i in idxs:
+        if not 0 <= i < vocab.n:
+            raise ValueError(
+                f"variable index {i} out of range (only v0..v{vocab.n - 1} exist)"
+            )
 
 
 def validate_formula(f: Formula, vocab: Vocabulary) -> None:
     """Check symbols, arities and variable bounds of a hand-built AST."""
     for node in _walk(f):
-        if isinstance(node, Atom):
-            if node.name not in vocab:
-                raise ValueError(f"unknown relation symbol {node.name!r}")
-            want = vocab.arity(node.name)
-            if len(node.args) != want:
-                raise ValueError(
-                    f"{node.name} takes {want} argument(s), got {len(node.args)}"
-                )
-            idxs = node.args
-        elif isinstance(node, Eq):
-            idxs = (node.i, node.j)
-        elif isinstance(node, (Exists, Forall)):
-            idxs = (node.var,)
-        else:
-            continue
-        for i in idxs:
-            if not 0 <= i < vocab.n:
-                raise ValueError(f"variable index {i} out of range for n={vocab.n}")
+        _check_node(node, vocab)
 
 
 def formula_size(f: Formula) -> int:
     """Number of AST nodes, counting shared subtrees once per occurrence."""
     sizes: dict[int, int] = {}
-
-    def size(node) -> int:
-        got = sizes.get(id(node))
-        if got is not None:
-            return got
-        if isinstance(node, Not):
-            s = 1 + size(node.body)
-        elif isinstance(node, (And, Or, Implies, Iff)):
-            s = 1 + size(node.left) + size(node.right)
-        elif isinstance(node, (Exists, Forall)):
-            s = 1 + size(node.body)
-        else:
-            s = 1
-        sizes[id(node)] = s
-        return s
-
-    return size(f)
+    for node in _post_order(f, sizes):
+        sizes[id(node)] = 1 + sum(sizes[id(k)] for k in _children(node))
+    return sizes[id(f)]
 
 
 def desugar_foralls(f: Formula) -> Formula:

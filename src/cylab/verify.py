@@ -17,33 +17,27 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     And,
     Atom,
-    Const,
     Eq,
     Exists,
     Forall,
     Formula,
-    Iff,
     Implies,
     Not,
     Or,
     Vocabulary,
-    free_vars,
-    voc_of,
 )
 from .structures import (
     CoredStructure,
-    SimSignature,
     Structure,
     StructureFamily,
     all_tuples,
     canonical_strong,
     consequence_over,
-    core_preserving_maps,
     cylinder,
     definable_set,
     enumerate_signatures,
@@ -58,7 +52,6 @@ from .structures import (
     validate_cored_structure,
 )
 from .algebra import (
-    Element,
     build_csn,
     cached_algebra,
     signature_bound,
